@@ -64,12 +64,12 @@ func main() {
 	results, err := fed.ExecScript(src)
 	n := 0
 	for _, r := range results {
-		if r.DOL == "" {
+		if r.DOL() == "" {
 			continue
 		}
 		n++
 		fmt.Printf("-- plan %d --\n", n)
-		fmt.Print(r.DOL)
+		fmt.Print(r.DOL())
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

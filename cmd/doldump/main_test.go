@@ -19,8 +19,8 @@ func TestPaperExampleTranslates(t *testing.T) {
 	}
 	var dolText string
 	for _, r := range results {
-		if r.DOL != "" {
-			dolText = r.DOL
+		if r.DOL() != "" {
+			dolText = r.DOL()
 		}
 	}
 	for _, want := range []string{

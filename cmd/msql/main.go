@@ -69,7 +69,7 @@ func realMain() int {
 		slowPath    = flag.String("slow-query-log", "", "slow-query log destination file (default stderr); only meaningful with -slow-query-ms")
 
 		dataDir     = flag.String("data-dir", "", "persist every service's store on disk under this directory: committed work checkpoints to slotted heap files and survives restarts")
-		bufferPages = flag.Int("buffer-pages", 0, "buffer pool frames per disk-backed service store (0 = storage default); only meaningful with -data-dir")
+		bufferPages = flag.Int("buffer-pages", 0, "buffer pool cap in 4 KiB frames per disk-backed service store (0 = storage default); only meaningful with -data-dir")
 
 		fleetN    = flag.Int("fleet", 0, "stand up an in-process mixed-capability LAM fleet of this many sites (two-phase, DDL-autocommit, and autocommit-only csv backends) and INCORPORATE them alongside the demo federation (0 disables)")
 		fleetSeed = flag.Int64("fleet-seed", 1, "fleet layout seed; the same seed always generates the same site mix")
@@ -453,9 +453,9 @@ func needsMore(src string) bool {
 }
 
 func printResult(w io.Writer, r *core.Result, showDOL bool) {
-	if showDOL && r.DOL != "" {
+	if showDOL && r.DOL() != "" {
 		fmt.Fprintln(w, "-- generated DOL program:")
-		fmt.Fprint(w, r.DOL)
+		fmt.Fprint(w, r.DOL())
 	}
 	switch r.Kind {
 	case core.KindSelect:

@@ -354,6 +354,28 @@ func (g *GDD) Table(db, table string) (*TableDef, error) {
 	return t.Clone(), nil
 }
 
+// HasTable reports whether db has the table, without copying its
+// definition.
+func (g *GDD) HasTable(db, table string) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	d, ok := g.dbs[db]
+	return ok && d.Tables[table] != nil
+}
+
+// ColumnNames lists one table's column names, or nil when db has no such
+// table, without copying its definition.
+func (g *GDD) ColumnNames(db, table string) []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if d, ok := g.dbs[db]; ok {
+		if t, ok := d.Tables[table]; ok {
+			return t.ColumnNames()
+		}
+	}
+	return nil
+}
+
 // MatchName reports whether name matches an MSQL multiple identifier
 // pattern, where '%' stands for any run of characters. A pattern without
 // '%' matches only itself.

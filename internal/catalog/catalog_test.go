@@ -165,6 +165,25 @@ func TestGDDErrors(t *testing.T) {
 	}
 }
 
+func TestGDDHasTableAndColumnNames(t *testing.T) {
+	g := populatedGDD(t)
+	if !g.HasTable("united", "fn727") || g.HasTable("united", "flights") || g.HasTable("nodb", "flight") {
+		t.Fatalf("HasTable disagrees with the dictionary")
+	}
+	got := g.ColumnNames("united", "fn727")
+	if len(got) != 4 || got[0] != "sn" || got[3] != "pasna" {
+		t.Fatalf("ColumnNames = %v", got)
+	}
+	if g.ColumnNames("united", "missing") != nil || g.ColumnNames("nodb", "flight") != nil {
+		t.Fatalf("ColumnNames of a missing table is not nil")
+	}
+	// The returned names are the caller's: changing them leaves the GDD intact.
+	got[0] = "changed"
+	if def, _ := g.Table("united", "fn727"); def.Columns[0].Name != "sn" {
+		t.Fatalf("ColumnNames aliases the dictionary")
+	}
+}
+
 func TestGDDDropAndServiceOf(t *testing.T) {
 	g := populatedGDD(t)
 	svc, err := g.ServiceOf("delta")

@@ -177,8 +177,8 @@ type Result struct {
 	Compensated []string
 	// Skipped lists scope databases the query was not pertinent to.
 	Skipped []semvar.Skip
-	// DOL is the generated program text.
-	DOL string
+	// dol is the generated program, rendered as text on first read.
+	dol *dolText
 	// AchievedState is the acceptable termination state a
 	// multitransaction reached, nil when it failed.
 	AchievedState []string
@@ -209,6 +209,24 @@ type Result struct {
 	// PlanJSON records the FORMAT JSON request of the EXPLAIN statement
 	// that produced Plan, so renderers pick the right serialization.
 	PlanJSON bool
+}
+
+// DOL returns the generated DOL program text, empty for results that
+// ran no program. The text is rendered on first read, from the program
+// as translated.
+func (r *Result) DOL() string {
+	if r.dol == nil {
+		return ""
+	}
+	r.dol.once.Do(func() { r.dol.text = dol.Print(r.dol.prog) })
+	return r.dol.text
+}
+
+// dolText is a DOL program and its text, rendered once.
+type dolText struct {
+	once sync.Once
+	prog *dol.Program
+	text string
 }
 
 // DegradedEntry names a scope entry missing from an answer and why.
@@ -675,11 +693,13 @@ func (f *Federation) expandScope(entries []semvar.ScopeEntry) ([]semvar.ScopeEnt
 	return out, nil
 }
 
-// printPlan materializes the DOL program text under a plan span.
-func printPlan(ctx context.Context, prog *dol.Program) string {
+// planResult starts a statement's result from its translated DOL
+// program, under a plan span. The program's text is rendered only if
+// the result's DOL is read.
+func planResult(ctx context.Context, kind ResultKind, prog *dol.Program, meta *translate.Meta) *Result {
 	sp, _ := obs.StartSpan(ctx, "plan", obs.KindPlan)
 	defer sp.End()
-	return dol.Print(prog)
+	return &Result{Kind: kind, dol: &dolText{prog: prog}, Skipped: meta.Skipped}
 }
 
 func resultList(rs ...*Result) []*Result {

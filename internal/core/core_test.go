@@ -619,8 +619,8 @@ UPDATE flight% SET rate% = rate% * 1.1 WHERE sour% = 'Houston' AND dest% = 'San 
 		t.Fatal(err)
 	}
 	sync := results[len(results)-1]
-	if !strings.Contains(sync.DOL, "TASK T1 NOCOMMIT FOR continental") {
-		t.Fatalf("DOL = %s", sync.DOL)
+	if !strings.Contains(sync.DOL(), "TASK T1 NOCOMMIT FOR continental") {
+		t.Fatalf("DOL = %s", sync.DOL())
 	}
 	// No data changed.
 	f.DryRun = false

@@ -43,11 +43,13 @@ func (s *Session) execExplain(ctx context.Context, ex *msqlparser.ExplainStmt) (
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindExplain, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, PlanJSON: ex.JSON}
+	res := planResult(ctx, KindExplain, prog, meta)
+	res.PlanJSON = ex.JSON
 	if !ex.Analyze || f.DryRun {
 		res.Plan = federationPlan(prog, meta, nil)
 		return res, nil
 	}
+	res.DOL() // render before ANALYZE rewrites the task bodies below
 	for _, st := range prog.Stmts {
 		ts, ok := st.(*dol.TaskStmt)
 		if !ok {

@@ -56,7 +56,7 @@ EXPLAIN SELECT %code, type, ~rate FROM car WHERE status = 'available'
 			t.Fatalf("plain EXPLAIN carries an execution status: %q", n.Detail)
 		}
 	}
-	if r.DOL == "" {
+	if r.DOL() == "" {
 		t.Fatal("no DOL program text")
 	}
 }

@@ -399,7 +399,8 @@ func (s *Session) sync(ctx context.Context, mode translate.SyncMode) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindSync, DOL: printPlan(ctx, prog), Skipped: meta.Skipped, Mode: mode}
+	res := planResult(ctx, KindSync, prog, meta)
+	res.Mode = mode
 	if f.DryRun {
 		f.dropProvisional(meta, nil)
 		return res, nil
@@ -490,7 +491,7 @@ func (s *Session) execStoredSelect(ctx context.Context, view *storedView) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindSelect, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
+	res := planResult(ctx, KindSelect, prog, meta)
 	if f.DryRun {
 		return res, nil
 	}
@@ -517,7 +518,7 @@ func (s *Session) execSelect(ctx context.Context, q *msqlparser.QueryStmt) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindSelect, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
+	res := planResult(ctx, KindSelect, prog, meta)
 	if f.DryRun {
 		return res, nil
 	}
@@ -543,7 +544,7 @@ func (s *Session) execGlobalDML(ctx context.Context, q *msqlparser.QueryStmt) (*
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindGlobalDML, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
+	res := planResult(ctx, KindGlobalDML, prog, meta)
 	if f.DryRun {
 		return res, nil
 	}
@@ -569,7 +570,7 @@ func (s *Session) execMultiTx(ctx context.Context, m *msqlparser.MultiTxStmt) (*
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindMultiTx, DOL: printPlan(ctx, prog), Skipped: meta.Skipped}
+	res := planResult(ctx, KindMultiTx, prog, meta)
 	if f.DryRun {
 		return res, nil
 	}

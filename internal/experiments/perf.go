@@ -233,8 +233,8 @@ func B1Parallelism(dbCounts []int, rows, iters int, siteLatency time.Duration) (
 		fed.DryRun = false
 		var dolText string
 		for _, r := range results {
-			if r.DOL != "" {
-				dolText = r.DOL
+			if r.DOL() != "" {
+				dolText = r.DOL()
 			}
 		}
 		engine := dolengine.New(fed)

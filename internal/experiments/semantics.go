@@ -239,8 +239,8 @@ func E5Program() (string, error) {
 		return "", err
 	}
 	for _, r := range results {
-		if r.DOL != "" {
-			return r.DOL, nil
+		if r.DOL() != "" {
+			return r.DOL(), nil
 		}
 	}
 	return "", fmt.Errorf("E5: no program generated")

@@ -17,7 +17,7 @@ const (
 	KindParse     = "parse"     // MSQL script parsing
 	KindStatement = "statement" // one MSQL statement's lifecycle
 	KindTranslate = "translate" // substitution/disambiguation/decomposition
-	KindPlan      = "plan"      // DOL plan materialization
+	KindPlan      = "plan"      // DOL program handed to the statement's result
 	KindEngine    = "engine"    // one DOL program execution
 	KindTask      = "task"      // one DOL task on one connection
 	KindCall      = "call"      // one wire round trip to a LAM

@@ -15,8 +15,8 @@ type Options struct {
 	// Dir is the data directory. Empty means an in-memory store: the
 	// same page/pool machinery, backed by RAM.
 	Dir string
-	// PoolPages is the buffer pool size in 4 KiB frames; 0 means
-	// storage.DefaultPoolPages.
+	// PoolPages caps the buffer pool in 4 KiB frames; 0 means
+	// storage.DefaultPoolPages. Frames are allocated as pages are used.
 	PoolPages int
 }
 
@@ -167,7 +167,13 @@ func (s *Store) openTable(ct catalogTable) (*Table, error) {
 // recovers to the last checkpoint plus whatever the LDBMS redo/termination
 // protocol replays on top; callers that need transactional durability
 // checkpoint on commit (see internal/ldbms).
+//
+// Concurrent checkpoints of one store run one at a time: they share the
+// catalog's temporary file, so two interleaved write-and-rename pairs
+// would race each other's rename.
 func (s *Store) Checkpoint() error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}

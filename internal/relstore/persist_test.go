@@ -249,3 +249,35 @@ func TestDropTableRemovesHeapFile(t *testing.T) {
 		t.Fatalf("dropped table resurfaced: %v", err)
 	}
 }
+
+// Two commits on one disk-backed store checkpoint concurrently. Their
+// catalog write-and-rename pairs must not interleave: an unserialized
+// pair fails one rename with "no such file or directory" after the
+// other moved the shared temporary file away.
+func TestConcurrentCheckpointsOneStore(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateDatabase("d"); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			for i := 0; i < 2000; i++ {
+				if err := s.Checkpoint(); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent checkpoint: %v", err)
+		}
+	}
+}

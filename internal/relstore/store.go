@@ -472,6 +472,7 @@ func (d *Database) View(name string) (*View, error) {
 // a shared buffer pool, optionally persisted to a data directory.
 type Store struct {
 	mu        sync.RWMutex
+	ckptMu    sync.Mutex // serializes Checkpoint
 	databases map[string]*Database
 	locks     *lockManager
 	nextTx    int64

@@ -168,7 +168,7 @@ func matchTables(gdd *catalog.GDD, db, name string, varMap map[string]bindTarget
 		}
 		return m
 	}
-	if _, err := gdd.Table(db, name); err != nil {
+	if !gdd.HasTable(db, name) {
 		return nil
 	}
 	return []string{name}
@@ -211,13 +211,6 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 	c sqlparser.ColRef) (sqlparser.Expr, error) {
 
 	nullLit := &sqlparser.Literal{Val: sqlval.Null()}
-	colsOf := func(r *globalRef) []string {
-		def, err := gdd.Table(r.db, r.table)
-		if err != nil {
-			return nil
-		}
-		return def.ColumnNames()
-	}
 	resolveIn := func(r *globalRef, name string) []string {
 		if target, ok := bindingMap(lets, r.entry)[name]; ok {
 			if target.expr != nil {
@@ -228,7 +221,7 @@ func resolveGlobalColumn(gdd *catalog.GDD, scope []ScopeEntry, lets []msqlparser
 			name = target.name
 		}
 		var out []string
-		for _, col := range colsOf(r) {
+		for _, col := range gdd.ColumnNames(r.db, r.table) {
 			if catalog.MatchName(col, name) {
 				out = append(out, col)
 			}

@@ -323,6 +323,27 @@ type entryExpander struct {
 	body       sqlparser.Statement
 	aliases    map[string]string
 	defTargets map[string]bool
+	cols       []tableCols // column names of the tables looked up so far
+}
+
+// tableCols memoises one table's column names for an expansion.
+type tableCols struct {
+	table string
+	cols  []string
+}
+
+// colsOf returns a table's column names in this database, looked up once
+// per expansion. An expansion names a handful of tables, so a slice
+// beats a map.
+func (ex *entryExpander) colsOf(table string) []string {
+	for _, tc := range ex.cols {
+		if tc.table == table {
+			return tc.cols
+		}
+	}
+	c := ex.gdd.ColumnNames(ex.entry.Database, table)
+	ex.cols = append(ex.cols, tableCols{table, c})
+	return c
 }
 
 // expand returns the elementary queries for this database, or a skip
@@ -408,7 +429,7 @@ func (ex *entryExpander) tableCandidates(text string) ([]string, string) {
 		if target.expr != nil {
 			return nil, fmt.Sprintf("transformation variable %s cannot name a table", name)
 		}
-		if _, err := ex.gdd.Table(db, target.name); err != nil {
+		if !ex.gdd.HasTable(db, target.name) {
 			return nil, fmt.Sprintf("LET designator %s not in %s", target.name, db)
 		}
 		return []string{target.name}, ""
@@ -420,7 +441,7 @@ func (ex *entryExpander) tableCandidates(text string) ([]string, string) {
 		}
 		return matches, ""
 	}
-	if _, err := ex.gdd.Table(db, name); err != nil {
+	if !ex.gdd.HasTable(db, name) {
 		return nil, fmt.Sprintf("no table %s in %s", name, db)
 	}
 	return []string{name}, ""
@@ -439,7 +460,6 @@ func colKey(c sqlparser.ColRef) string {
 // expandColumns resolves every column reference under a fixed table
 // choice, enumerating combinations for genuinely ambiguous patterns.
 func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Elementary, string) {
-	db := ex.entry.Database
 	projAliases := projectionAliases(ex.body)
 
 	// Column set of all chosen tables, with table attribution.
@@ -448,13 +468,6 @@ func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Element
 		chosen = append(chosen, c)
 	}
 	sort.Strings(chosen)
-	colsOf := func(table string) []string {
-		def, err := ex.gdd.Table(db, table)
-		if err != nil {
-			return nil
-		}
-		return def.ColumnNames()
-	}
 
 	// Gather distinct column reference spellings.
 	var refs []sqlparser.ColRef
@@ -484,7 +497,7 @@ func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Element
 	}
 	var opts []option
 	for _, ref := range refs {
-		exprs, reason := ex.columnOptions(ref, tableChoice, chosen, colsOf, projAliases)
+		exprs, reason := ex.columnOptions(ref, tableChoice, chosen, projAliases)
 		if reason != "" {
 			return nil, reason
 		}
@@ -513,7 +526,7 @@ func (ex *entryExpander) expandColumns(tableChoice map[string]string) ([]Element
 // columnOptions resolves one column spelling to its candidate
 // replacements for this database.
 func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[string]string,
-	chosen []string, colsOf func(string) []string, projAliases map[string]bool) ([]sqlparser.Expr, string) {
+	chosen []string, projAliases map[string]bool) ([]sqlparser.Expr, string) {
 
 	nullExpr := func() sqlparser.Expr { return &sqlparser.Literal{Val: sqlval.Null()} }
 	plain := func(parts ...string) sqlparser.Expr { return sqlparser.ColRef{Parts: parts} }
@@ -528,7 +541,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 				return []sqlparser.Expr{sqlparser.Rewriter{}.RewriteExpr(target.expr)}, ""
 			}
 			for _, t := range chosen {
-				for _, c := range colsOf(t) {
+				for _, c := range ex.colsOf(t) {
 					if c == target.name {
 						return []sqlparser.Expr{plain(target.name)}, ""
 					}
@@ -545,7 +558,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 			var matches []string
 			mseen := map[string]bool{}
 			for _, t := range chosen {
-				for _, c := range colsOf(t) {
+				for _, c := range ex.colsOf(t) {
 					if catalog.MatchName(c, name) && !mseen[c] {
 						mseen[c] = true
 						matches = append(matches, c)
@@ -567,7 +580,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 		}
 		// Plain name: a real column, a projection alias, or missing.
 		for _, t := range chosen {
-			for _, c := range colsOf(t) {
+			for _, c := range ex.colsOf(t) {
 				if c == name {
 					return []sqlparser.Expr{plain(name)}, ""
 				}
@@ -619,7 +632,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 			}
 			if strings.Contains(colName, "%") {
 				var matches []string
-				for _, c := range colsOf(table) {
+				for _, c := range ex.colsOf(table) {
 					if catalog.MatchName(c, colName) {
 						matches = append(matches, c)
 					}
@@ -627,7 +640,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 				sort.Strings(matches)
 				return matches, len(matches) > 0
 			}
-			for _, c := range colsOf(table) {
+			for _, c := range ex.colsOf(table) {
 				if c == colName {
 					return []string{colName}, true
 				}
@@ -650,7 +663,7 @@ func (ex *entryExpander) columnOptions(ref sqlparser.ColRef, tableChoice map[str
 		// db.table.column with this entry's prefix: strip and retry.
 		if ref.Parts[0] == ex.entry.Database || ref.Parts[0] == ex.entry.Name {
 			return ex.columnOptions(sqlparser.ColRef{Parts: ref.Parts[1:], Optional: ref.Optional},
-				tableChoice, chosen, colsOf, projAliases)
+				tableChoice, chosen, projAliases)
 		}
 		return nil, fmt.Sprintf("reference %s names a database outside this query's span", colKey(ref))
 	}

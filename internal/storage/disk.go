@@ -27,10 +27,12 @@ var ErrTruncatedFile = errors.New("storage: heap file size is not page-aligned (
 
 // MemBacking simulates a disk with a slice of pages. It is the default
 // backing: eviction and checkpointing exercise the same code paths as a
-// real file, the bytes just stay in RAM.
+// real file, the bytes just stay in RAM. A page's bytes are allocated by
+// its first write; until then it reads as zeros, so a freshly allocated
+// page lives only in its buffer-pool frame.
 type MemBacking struct {
 	mu    sync.RWMutex
-	pages [][]byte
+	pages [][]byte // nil = allocated, never written
 }
 
 // NewMemBacking returns an empty in-memory backing.
@@ -43,6 +45,10 @@ func (m *MemBacking) ReadPage(page uint32, buf []byte) error {
 	if int(page) >= len(m.pages) {
 		return fmt.Errorf("storage: read of unallocated page %d", page)
 	}
+	if m.pages[page] == nil {
+		clear(buf[:PageSize])
+		return nil
+	}
 	copy(buf, m.pages[page])
 	return nil
 }
@@ -53,6 +59,9 @@ func (m *MemBacking) WritePage(page uint32, buf []byte) error {
 	defer m.mu.Unlock()
 	if int(page) >= len(m.pages) {
 		return fmt.Errorf("storage: write of unallocated page %d", page)
+	}
+	if m.pages[page] == nil {
+		m.pages[page] = make([]byte, PageSize)
 	}
 	copy(m.pages[page], buf)
 	return nil
@@ -65,11 +74,12 @@ func (m *MemBacking) NumPages() (uint32, error) {
 	return uint32(len(m.pages)), nil
 }
 
-// Allocate extends the backing by one zero page.
+// Allocate extends the backing by one zero page; its bytes wait for the
+// first write.
 func (m *MemBacking) Allocate() (uint32, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pages = append(m.pages, make([]byte, PageSize))
+	m.pages = append(m.pages, nil)
 	return uint32(len(m.pages) - 1), nil
 }
 

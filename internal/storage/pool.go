@@ -37,7 +37,8 @@ type frameKey struct {
 
 // Frame is one resident page. A Frame returned by Fetch or Alloc is
 // pinned: it cannot be evicted until Unpin. Data aliases the pool's
-// buffer — do not retain it past Unpin.
+// buffer — do not retain it past Unpin. A frame gets its buffer the
+// first time it is claimed and keeps it for the pool's lifetime.
 type Frame struct {
 	key   frameKey
 	buf   []byte
@@ -56,18 +57,25 @@ type PoolStats struct {
 	Misses    int64
 	Evictions int64
 	Flushes   int64
-	Pages     int // configured frame count
+	Pages     int // configured frame count (the cap, not the frames holding buffers)
 	Resident  int // frames currently holding a page
 	Pinned    int // frames currently pinned
 }
 
-// Pool is a fixed-size buffer pool shared by the heap files of one
-// store. All page I/O goes through it; eviction uses the clock (second
-// chance) algorithm over unpinned frames, writing dirty victims back to
-// their backing first.
+// Pool is a buffer pool of at most a fixed number of frames, shared by
+// the heap files of one store. All page I/O goes through it; eviction
+// uses the clock (second chance) algorithm over unpinned frames, writing
+// dirty victims back to their backing first.
+//
+// Page buffers are allocated as frames are first claimed, so the pool's
+// memory follows the resident working set up to the cap: frames[:grown]
+// hold buffers, and the unused ones among them wait on free. The clock
+// only runs once every frame holds a page.
 type Pool struct {
 	mu       sync.Mutex
 	frames   []Frame
+	grown    int   // frames[:grown] have buffers
+	free     []int // unused frames below grown, reused before growing
 	index    map[frameKey]int
 	hand     int
 	backings map[FileID]Backing
@@ -75,12 +83,14 @@ type Pool struct {
 	stats    PoolStats
 }
 
-// DefaultPoolPages is the pool size used when a store does not specify
-// one: 4096 frames × 4 KiB = 16 MiB, comfortably larger than the demo
-// working sets so purely in-memory federations never evict.
+// DefaultPoolPages is the pool cap used when a store does not specify
+// one: at most 4096 frames × 4 KiB = 16 MiB, comfortably larger than the
+// demo working sets so purely in-memory federations never evict. Memory
+// grows with the pages resident, not with the cap.
 const DefaultPoolPages = 4096
 
-// NewPool creates a pool with npages frames (minimum 8).
+// NewPool creates a pool of at most npages frames (minimum 8). No page
+// buffer is allocated until a frame is first used.
 func NewPool(npages int) *Pool {
 	if npages < 8 {
 		npages = 8
@@ -91,9 +101,6 @@ func NewPool(npages int) *Pool {
 		backings: make(map[FileID]Backing),
 	}
 	p.stats.Pages = npages
-	for i := range p.frames {
-		p.frames[i].buf = make([]byte, PageSize)
-	}
 	return p
 }
 
@@ -112,12 +119,11 @@ func (p *Pool) Register(b Backing) FileID {
 func (p *Pool) Deregister(id FileID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.frames {
+	for i := range p.frames[:p.grown] {
 		f := &p.frames[i]
 		if f.used && f.key.file == id {
 			delete(p.index, f.key)
-			f.used, f.dirty, f.ref, f.pins = false, false, false, 0
-			p.stats.Resident--
+			p.freeFrameLocked(i)
 		}
 	}
 	delete(p.backings, id)
@@ -156,11 +162,11 @@ func (p *Pool) FetchCounted(file FileID, pageNo uint32, pc *PageCounters) (*Fram
 	}
 	f := &p.frames[fi]
 	if err := b.ReadPage(pageNo, f.buf); err != nil {
-		p.releaseVictimLocked(f)
+		p.freeFrameLocked(fi)
 		return nil, err
 	}
 	if err := verifyPage(f.buf); err != nil {
-		p.releaseVictimLocked(f)
+		p.freeFrameLocked(fi)
 		return nil, fmt.Errorf("%w (file %d page %d)", err, file, pageNo)
 	}
 	p.installLocked(fi, frameKey{file, pageNo})
@@ -183,7 +189,7 @@ func (p *Pool) Alloc(file FileID) (uint32, *Frame, error) {
 	f := &p.frames[fi]
 	pageNo, err := b.Allocate()
 	if err != nil {
-		p.releaseVictimLocked(f)
+		p.freeFrameLocked(fi)
 		return 0, nil, err
 	}
 	initPage(f.buf)
@@ -206,19 +212,29 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 }
 
 // victimLocked finds a free or evictable frame and returns its index,
-// detached from the pool's page index. Dirty victims are flushed.
+// detached from the pool's page index. A freed frame is reused first,
+// then a frame below the cap gets its buffer; only a full pool evicts.
+// Dirty victims are flushed.
 func (p *Pool) victimLocked() (int, error) {
-	// One full revolution may only clear reference bits; a second finds
-	// any unpinned frame. Beyond two, everything is pinned.
+	if n := len(p.free); n > 0 {
+		i := p.free[n-1]
+		p.free = p.free[:n-1]
+		return p.claimLocked(i), nil
+	}
+	if p.grown < len(p.frames) {
+		i := p.grown
+		p.grown++
+		p.frames[i].buf = make([]byte, PageSize)
+		return p.claimLocked(i), nil
+	}
+	// Every frame holds a page, and the hand starts its first sweep at
+	// frame 0, the oldest. One full revolution may only clear reference
+	// bits; a second finds any unpinned frame. Beyond two, everything is
+	// pinned.
 	for pass := 0; pass < 2*len(p.frames); pass++ {
 		i := p.hand
 		f := &p.frames[i]
 		p.hand = (p.hand + 1) % len(p.frames)
-		if !f.used {
-			f.used = true
-			p.stats.Resident++
-			return i, nil
-		}
 		if f.pins > 0 {
 			continue
 		}
@@ -239,11 +255,21 @@ func (p *Pool) victimLocked() (int, error) {
 	return 0, ErrPoolFull
 }
 
-// releaseVictimLocked returns a victim frame acquired by victimLocked to
-// the free state after a failed fill.
-func (p *Pool) releaseVictimLocked(f *Frame) {
+// claimLocked marks an unused frame resident and returns its index.
+func (p *Pool) claimLocked(i int) int {
+	p.frames[i].used = true
+	p.stats.Resident++
+	return i
+}
+
+// freeFrameLocked returns a frame to the free state, keeping its buffer
+// for the next claim: a victim after a failed fill, or a page of a
+// deregistered file.
+func (p *Pool) freeFrameLocked(i int) {
+	f := &p.frames[i]
 	f.used, f.dirty, f.ref, f.pins = false, false, false, 0
 	p.stats.Resident--
+	p.free = append(p.free, i)
 }
 
 // installLocked binds a filled victim frame to its key.
@@ -276,7 +302,7 @@ func (p *Pool) flushFrameLocked(f *Frame) error {
 func (p *Pool) FlushFile(file FileID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.frames {
+	for i := range p.frames[:p.grown] {
 		f := &p.frames[i]
 		if f.used && f.dirty && f.key.file == file {
 			if err := p.flushFrameLocked(f); err != nil {
@@ -291,7 +317,7 @@ func (p *Pool) FlushFile(file FileID) error {
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.frames {
+	for i := range p.frames[:p.grown] {
 		f := &p.frames[i]
 		if f.used && f.dirty {
 			if err := p.flushFrameLocked(f); err != nil {
@@ -308,7 +334,7 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	s := p.stats
 	s.Pinned = 0
-	for i := range p.frames {
+	for i := range p.frames[:p.grown] {
 		if p.frames[i].used && p.frames[i].pins > 0 {
 			s.Pinned++
 		}

@@ -158,3 +158,108 @@ func TestPoolCorruptPageRejectedOnFetch(t *testing.T) {
 	}
 	pool.Unpin(f, false)
 }
+
+// bufferedFrames counts the frames that have been given a page buffer.
+func bufferedFrames(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for i := range p.frames {
+		if p.frames[i].buf != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestPoolFreshHoldsNoBuffers(t *testing.T) {
+	pool := NewPool(DefaultPoolPages)
+	if n := bufferedFrames(pool); n != 0 {
+		t.Fatalf("fresh pool holds %d page buffers, want 0", n)
+	}
+	if s := pool.Stats(); s.Pages != DefaultPoolPages || s.Resident != 0 {
+		t.Fatalf("stats = %+v, want Pages=%d Resident=0", s, DefaultPoolPages)
+	}
+}
+
+func TestPoolBuffersFollowResidentPagesUpToCap(t *testing.T) {
+	pool, id, _ := newPoolFile(t, 8, 16)
+	var held []*Frame
+	for pg := uint32(0); pg < 8; pg++ {
+		f, err := pool.Fetch(id, pg)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", pg, err)
+		}
+		held = append(held, f)
+		if n, r := bufferedFrames(pool), pool.Stats().Resident; n != int(pg)+1 || r != n {
+			t.Fatalf("after %d fetches: %d buffers, %d resident", pg+1, n, r)
+		}
+	}
+	if _, err := pool.Fetch(id, 8); !errors.Is(err, ErrPoolFull) {
+		t.Fatalf("fetch with all frames pinned: err = %v, want ErrPoolFull", err)
+	}
+	for _, f := range held {
+		pool.Unpin(f, false)
+	}
+	// Streaming the rest of the file evicts instead of growing past the cap.
+	for pg := uint32(8); pg < 16; pg++ {
+		f, err := pool.Fetch(id, pg)
+		if err != nil {
+			t.Fatalf("fetch %d: %v", pg, err)
+		}
+		pool.Unpin(f, false)
+	}
+	if n := bufferedFrames(pool); n != 8 {
+		t.Fatalf("%d buffers after eviction, want the cap of 8", n)
+	}
+	if s := pool.Stats(); s.Evictions != 8 || s.Pages != 8 {
+		t.Fatalf("stats = %+v, want 8 evictions of 8 pages", s)
+	}
+}
+
+func TestPoolDeregisteredFrameReusesBuffer(t *testing.T) {
+	pool := NewPool(64)
+	a := pool.Register(NewMemBacking())
+	_, fa, err := pool.Alloc(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(fa, true)
+	buf := &fa.Data()[0]
+	pool.Deregister(a)
+	if s := pool.Stats(); s.Resident != 0 {
+		t.Fatalf("resident = %d after deregister, want 0", s.Resident)
+	}
+	b := pool.Register(NewMemBacking())
+	_, fb, err := pool.Alloc(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Unpin(fb, false)
+	if fb != fa || &fb.Data()[0] != buf {
+		t.Fatalf("alloc after deregister took a new frame instead of the freed one")
+	}
+	if n := bufferedFrames(pool); n != 1 {
+		t.Fatalf("%d buffers, want 1", n)
+	}
+}
+
+func TestMemBackingUnwrittenPageReadsZero(t *testing.T) {
+	b := NewMemBacking()
+	pg, err := b.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	for i := range buf {
+		buf[i] = 0xAB
+	}
+	if err := b.ReadPage(pg, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range buf {
+		if c != 0 {
+			t.Fatalf("byte %d of an unwritten page = %#x, want 0", i, c)
+		}
+	}
+}
