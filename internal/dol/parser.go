@@ -9,10 +9,15 @@ import (
 
 // Parse parses a DOL program.
 func Parse(src string) (*Program, error) {
-	p, err := sqlparser.NewParser(src)
-	if err != nil {
+	p := sqlparser.NewParser(src)
+	prog, err := parseProgram(p)
+	if err = p.Err(err); err != nil {
 		return nil, err
 	}
+	return prog, nil
+}
+
+func parseProgram(p *sqlparser.Parser) (*Program, error) {
 	if err := p.ExpectKeyword("DOLBEGIN"); err != nil {
 		return nil, err
 	}

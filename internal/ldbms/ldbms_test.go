@@ -59,6 +59,8 @@ func TestClassifySQL(t *testing.T) {
 		"DROP TABLE t":           ClassDrop,
 		"COMMIT":                 ClassOther,
 		"":                       ClassOther,
+		"-- note\nDROP TABLE t":  ClassDrop,
+		"/* x */ select 1":       ClassSelect,
 	}
 	for sql, want := range cases {
 		if got := ClassifySQL(sql); got != want {

@@ -17,7 +17,11 @@
 // causes the paper lists.
 package ldbms
 
-import "strings"
+import (
+	"strings"
+
+	"msql/internal/sqlparser"
+)
 
 // StmtClass partitions statements the way the INCORPORATE statement's
 // per-command commit modes do.
@@ -53,13 +57,14 @@ func (c StmtClass) String() string {
 	}
 }
 
-// ClassifySQL reports the statement class of a SQL text.
+// ClassifySQL reports the statement class of a SQL text from its first
+// token, so leading comments and whitespace do not hide the verb.
 func ClassifySQL(sql string) StmtClass {
-	fields := strings.Fields(strings.ToUpper(sql))
-	if len(fields) == 0 {
+	t, err := sqlparser.NewLexer(sql).Next()
+	if err != nil || t.Kind != sqlparser.TokIdent {
 		return ClassOther
 	}
-	switch fields[0] {
+	switch strings.ToUpper(t.Text) {
 	case "SELECT", "EXPLAIN":
 		// EXPLAIN targets are restricted to SELECT by the engine, so the
 		// statement class follows the read-only target.
@@ -73,6 +78,27 @@ func ClassifySQL(sql string) StmtClass {
 	case "CREATE":
 		return ClassCreate
 	case "DROP":
+		return ClassDrop
+	default:
+		return ClassOther
+	}
+}
+
+// ClassifyStmt reports the statement class of a parsed statement. The
+// session classifies what it executes this way rather than from the text.
+func ClassifyStmt(stmt sqlparser.Statement) StmtClass {
+	switch stmt.(type) {
+	case *sqlparser.SelectStmt, *sqlparser.ExplainStmt:
+		return ClassSelect
+	case *sqlparser.InsertStmt:
+		return ClassInsert
+	case *sqlparser.UpdateStmt:
+		return ClassUpdate
+	case *sqlparser.DeleteStmt:
+		return ClassDelete
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateDatabaseStmt, *sqlparser.CreateViewStmt:
+		return ClassCreate
+	case *sqlparser.DropTableStmt, *sqlparser.DropDatabaseStmt, *sqlparser.DropViewStmt:
 		return ClassDrop
 	default:
 		return ClassOther

@@ -9,19 +9,19 @@ import (
 
 // Parse parses a full MSQL script.
 func Parse(src string) (*Script, error) {
-	p, err := sqlparser.NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := sqlparser.NewParser(src)
 	script := &Script{}
 	for {
 		p.SkipSemicolons()
 		if p.AtEOF() {
+			if err := p.Err(nil); err != nil {
+				return nil, err
+			}
 			return script, nil
 		}
 		s, err := parseStmt(p, false)
 		if err != nil {
-			return nil, err
+			return nil, p.Err(err)
 		}
 		script.Stmts = append(script.Stmts, s)
 	}
@@ -29,18 +29,17 @@ func Parse(src string) (*Script, error) {
 
 // ParseStatement parses exactly one MSQL statement.
 func ParseStatement(src string) (Stmt, error) {
-	p, err := sqlparser.NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := sqlparser.NewParser(src)
 	p.SkipSemicolons()
 	s, err := parseStmt(p, false)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.SkipSemicolons()
+		if !p.AtEOF() {
+			err = fmt.Errorf("msqlparser: unexpected trailing input: %s", p.Peek())
+		}
 	}
-	p.SkipSemicolons()
-	if !p.AtEOF() {
-		return nil, fmt.Errorf("msqlparser: unexpected trailing input: %s", p.Peek())
+	if err = p.Err(err); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

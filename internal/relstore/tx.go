@@ -171,10 +171,11 @@ func (t *Tx) tableForWriteLocked(db, table string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.lock(tableKey(db, table), LockExclusive); err != nil {
+	key := tableKey(db, table)
+	if err := t.lock(key, LockExclusive); err != nil {
 		return nil, err
 	}
-	t.touched[tableKey(db, table)] = touchedTable{tbl: tbl, mode: LockExclusive}
+	t.touched[key] = touchedTable{tbl: tbl, mode: LockExclusive}
 	return tbl, nil
 }
 
@@ -206,18 +207,34 @@ func (t *Table) validate(row Row) error {
 	return nil
 }
 
+// normalize widens INT values in FLOAT columns. It copies the row only
+// when there is a value to widen, so the caller's row is never modified.
 func normalize(t *Table, row Row) Row {
-	out := row.Clone()
-	for i, v := range out {
+	var out Row // nil until a value needs widening
+	for i, v := range row {
 		if !v.IsNull() && t.Columns[i].Type == sqlval.KindFloat && v.K == sqlval.KindInt {
+			if out == nil {
+				out = row.Clone()
+			}
 			out[i] = sqlval.Float(float64(v.I))
 		}
+	}
+	if out == nil {
+		return row
 	}
 	return out
 }
 
 // Insert appends a row, X-locking the table.
 func (t *Tx) Insert(db, table string, row Row) error {
+	return t.InsertRows(db, table, []Row{row})
+}
+
+// InsertRows appends rows in order through one table lookup and one X
+// lock: the batch form of Insert that a multi-row INSERT takes. As with
+// that many Insert calls, rows before a failing one stay inserted until
+// the transaction rolls back.
+func (t *Tx) InsertRows(db, table string, rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.active(); err != nil {
@@ -227,14 +244,16 @@ func (t *Tx) Insert(db, table string, row Row) error {
 	if err != nil {
 		return err
 	}
-	if err := tbl.validate(row); err != nil {
-		return err
+	for _, row := range rows {
+		if err := tbl.validate(row); err != nil {
+			return err
+		}
+		idx, err := tbl.insertRow(normalize(tbl, row), true)
+		if err != nil {
+			return err
+		}
+		t.undo = append(t.undo, undoRec{kind: undoInsert, db: db, name: table, idx: idx})
 	}
-	idx, err := tbl.insertRow(normalize(tbl, row), true)
-	if err != nil {
-		return err
-	}
-	t.undo = append(t.undo, undoRec{kind: undoInsert, db: db, name: table, idx: idx})
 	return nil
 }
 

@@ -48,45 +48,42 @@ func execInsert(tx *relstore.Tx, db string, ins *sqlparser.InsertStmt) (*Result,
 		return row, nil
 	}
 
-	n := 0
+	var rows []relstore.Row
 	if ins.Query != nil {
 		res, err := execSelect(tx, db, ins.Query, nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range res.Rows {
-			row, err := buildRow(r)
-			if err != nil {
+		rows = make([]relstore.Row, len(res.Rows))
+		for i, r := range res.Rows {
+			if rows[i], err = buildRow(r); err != nil {
 				return nil, err
 			}
-			if err := tx.Insert(tdb, tname, row); err != nil {
-				return nil, err
-			}
-			n++
 		}
-		return &Result{RowsAffected: n}, nil
+	} else {
+		// Every VALUES row is evaluated before any is inserted, so a
+		// subquery in a later row does not see the earlier rows.
+		e := &env{tx: tx, db: db}
+		rows = make([]relstore.Row, len(ins.Rows))
+		vals := make([]sqlval.Value, 0, len(colIdx))
+		for ri, exprRow := range ins.Rows {
+			vals = vals[:0]
+			for _, ex := range exprRow {
+				v, err := evalExpr(e, ex)
+				if err != nil {
+					return nil, err
+				}
+				vals = append(vals, v)
+			}
+			if rows[ri], err = buildRow(vals); err != nil {
+				return nil, err
+			}
+		}
 	}
-
-	e := &env{tx: tx, db: db}
-	for _, exprRow := range ins.Rows {
-		vals := make([]sqlval.Value, len(exprRow))
-		for i, ex := range exprRow {
-			v, err := evalExpr(e, ex)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		row, err := buildRow(vals)
-		if err != nil {
-			return nil, err
-		}
-		if err := tx.Insert(tdb, tname, row); err != nil {
-			return nil, err
-		}
-		n++
+	if err := tx.InsertRows(tdb, tname, rows); err != nil {
+		return nil, err
 	}
-	return &Result{RowsAffected: n}, nil
+	return &Result{RowsAffected: len(rows)}, nil
 }
 
 // execUpdate handles UPDATE ... SET ... WHERE. Assignments are evaluated

@@ -1,6 +1,10 @@
 package sqlparser
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 const benchQuery = `SELECT DISTINCT f.source, COUNT(*) AS n, AVG(rate) r
 FROM flights f, f838 s
@@ -59,6 +63,30 @@ func BenchmarkRewrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if RewriteStatement(s, rw) == nil {
 			b.Fatal("nil rewrite")
+		}
+	}
+}
+
+// benchInsert is one 250-row multi-row INSERT shaped like the rows a
+// site load or a DOL SHIP sends: integers, a float, a string with a
+// doubled quote, a negative number and NULL.
+var benchInsert = func() string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO orders VALUES ")
+	for i := 0; i < 250; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %d, %d.5, 'note %d for O''Hare', -%d, NULL)", i+1, i%97, i*3, i, i%7)
+	}
+	return b.String()
+}()
+
+func BenchmarkParseInsert(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseStatement(benchInsert); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -96,37 +96,52 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'' || c == '"':
-		quote := c
-		l.pos++
-		var b strings.Builder
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == quote {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == quote {
-					b.WriteByte(quote)
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return Token{Kind: TokString, Text: b.String(), Pos: start}, nil
-			}
-			b.WriteByte(ch)
-			l.pos++
-		}
-		return Token{}, fmt.Errorf("unterminated string literal at offset %d", start)
+		return l.quoted(start)
 	default:
-		// Multi-character operators first.
-		for _, op := range [...]string{"<>", "!=", "<=", ">="} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
-				return Token{Kind: TokPunct, Text: op, Pos: start}, nil
+		// Punctuation slices the source rather than allocating its text;
+		// multi-character operators first.
+		if l.pos+1 < len(l.src) {
+			switch l.src[l.pos : l.pos+2] {
+			case "<>", "!=", "<=", ">=":
+				l.pos += 2
+				return Token{Kind: TokPunct, Text: l.src[start:l.pos], Pos: start}, nil
 			}
 		}
-		if strings.ContainsRune("(),.;=<>+-*/~{}", rune(c)) {
+		if strings.IndexByte("(),.;=<>+-*/~{}", c) >= 0 {
 			l.pos++
-			return Token{Kind: TokPunct, Text: string(c), Pos: start}, nil
+			return Token{Kind: TokPunct, Text: l.src[start:l.pos], Pos: start}, nil
 		}
 		return Token{}, fmt.Errorf("unexpected character %q at offset %d", c, start)
+	}
+}
+
+// quoted scans a string literal whose opening quote is at start. A
+// literal without a doubled quote is a slice of the source; only a
+// doubled quote makes the lexer copy the text to unescape it.
+func (l *Lexer) quoted(start int) (Token, error) {
+	quote := l.src[start]
+	l.pos = start + 1
+	seg := l.pos
+	var esc []byte // unescaped text before seg, once a doubled quote is seen
+	for {
+		i := strings.IndexByte(l.src[l.pos:], quote)
+		if i < 0 {
+			l.pos = len(l.src)
+			return Token{}, fmt.Errorf("unterminated string literal at offset %d", start)
+		}
+		l.pos += i
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == quote {
+			esc = append(esc, l.src[seg:l.pos+1]...)
+			l.pos += 2
+			seg = l.pos
+			continue
+		}
+		text := l.src[seg:l.pos]
+		if esc != nil {
+			text = string(append(esc, text...))
+		}
+		l.pos++
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}
 }
 
@@ -154,7 +169,8 @@ func (l *Lexer) skipSpaceAndComments() {
 }
 
 // Tokenize scans all of src, returning the token list without the trailing
-// EOF token.
+// EOF token. The parser does not use it: it pulls tokens from a Lexer on
+// demand.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
 	var toks []Token

@@ -11,41 +11,92 @@ import (
 // Parser is a recursive-descent parser over a token stream. Its primitive
 // token operations are exported so that the MSQL front end can parse its
 // own top-level constructs and delegate embedded query bodies back here.
+//
+// Tokens are pulled from the lexer on demand into a window of at most
+// lookahead tokens, so parsing never materialises the whole token list.
+// A lexing error ends the stream: the parser records it, sees end of
+// input from then on, and Err reports it in place of whatever the
+// grammar concluded.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex    Lexer
+	window [lookahead]Token // ring buffer; window[head] is the current token
+	head   int
+	n      int   // tokens buffered in window
+	done   bool  // the lexer reached end of input or failed
+	err    error // the first lexing error
 }
 
-// NewParser tokenizes src and returns a parser positioned at the start.
-func NewParser(src string) (*Parser, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+// lookahead bounds PeekAt: PeekAt(2) is the deepest any grammar built on
+// this parser (SQL, MSQL, DOL) looks.
+const lookahead = 3
+
+// NewParser returns a parser positioned at the start of src.
+func NewParser(src string) *Parser {
+	return &Parser{lex: Lexer{src: src}}
+}
+
+// Err reports the outcome of a parse that ended with err, nil on success;
+// every entry point returns through it. A lexing error anywhere in the
+// source takes precedence over err, so the rest of the input is scanned
+// for one first: a malformed literal is reported even when parsing
+// stopped at an earlier syntax error.
+func (p *Parser) Err(err error) error {
+	for !p.done {
+		p.scan()
 	}
-	return &Parser{toks: toks}, nil
+	if p.err != nil {
+		return p.err
+	}
+	return err
+}
+
+// scan returns the lexer's next token. At end of input or on a lexing
+// error, which it records, it marks the stream done and returns false.
+func (p *Parser) scan() (Token, bool) {
+	if p.done {
+		return Token{}, false
+	}
+	t, err := p.lex.Next()
+	if err != nil || t.Kind == TokEOF {
+		p.done, p.err = true, err
+		return Token{}, false
+	}
+	return t, true
+}
+
+// slot maps a position ahead of the cursor to its window index.
+func (p *Parser) slot(n int) int {
+	if i := p.head + n; i < lookahead {
+		return i
+	}
+	return p.head + n - lookahead
 }
 
 // Peek returns the current token without consuming it.
-func (p *Parser) Peek() Token {
-	if p.pos >= len(p.toks) {
-		return Token{Kind: TokEOF}
-	}
-	return p.toks[p.pos]
-}
+func (p *Parser) Peek() Token { return p.PeekAt(0) }
 
-// PeekAt returns the token n positions ahead of the cursor.
+// PeekAt returns the token n positions ahead of the cursor, n < 3.
 func (p *Parser) PeekAt(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return Token{Kind: TokEOF}
+	if n >= lookahead {
+		panic(fmt.Sprintf("sqlparser: PeekAt(%d) beyond the %d-token lookahead", n, lookahead))
 	}
-	return p.toks[p.pos+n]
+	for p.n <= n {
+		t, ok := p.scan()
+		if !ok {
+			return Token{Kind: TokEOF, Pos: len(p.lex.src)}
+		}
+		p.window[p.slot(p.n)] = t
+		p.n++
+	}
+	return p.window[p.slot(n)]
 }
 
 // Next consumes and returns the current token.
 func (p *Parser) Next() Token {
 	t := p.Peek()
-	if p.pos < len(p.toks) {
-		p.pos++
+	if p.n > 0 {
+		p.head = p.slot(1)
+		p.n--
 	}
 	return t
 }
@@ -63,7 +114,7 @@ func (p *Parser) PeekKeyword(kw string) bool {
 // AcceptKeyword consumes the keyword if present and reports whether it did.
 func (p *Parser) AcceptKeyword(kw string) bool {
 	if p.PeekKeyword(kw) {
-		p.pos++
+		p.Next()
 		return true
 	}
 	return false
@@ -86,7 +137,7 @@ func (p *Parser) PeekPunct(s string) bool {
 // AcceptPunct consumes the punctuation if present.
 func (p *Parser) AcceptPunct(s string) bool {
 	if p.PeekPunct(s) {
-		p.pos++
+		p.Next()
 		return true
 	}
 	return false
@@ -107,7 +158,7 @@ func (p *Parser) Ident() (string, error) {
 	if t.Kind != TokIdent {
 		return "", fmt.Errorf("expected identifier, found %s", t)
 	}
-	p.pos++
+	p.Next()
 	return t.Text, nil
 }
 
@@ -133,36 +184,35 @@ var reservedAfterTable = map[string]bool{
 // ParseStatement parses one SQL statement. The trailing ';', if present,
 // is consumed.
 func ParseStatement(src string) (Statement, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := NewParser(src)
 	s, err := p.ParseStatement()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.SkipSemicolons()
+		if !p.AtEOF() {
+			err = fmt.Errorf("unexpected trailing input: %s", p.Peek())
+		}
 	}
-	p.SkipSemicolons()
-	if !p.AtEOF() {
-		return nil, fmt.Errorf("unexpected trailing input: %s", p.Peek())
+	if err = p.Err(err); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // ParseScript parses a ';'-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := NewParser(src)
 	var out []Statement
 	for {
 		p.SkipSemicolons()
 		if p.AtEOF() {
+			if err := p.Err(nil); err != nil {
+				return nil, err
+			}
 			return out, nil
 		}
 		s, err := p.ParseStatement()
 		if err != nil {
-			return nil, err
+			return nil, p.Err(err)
 		}
 		out = append(out, s)
 	}
@@ -443,8 +493,11 @@ func (p *Parser) parseInsert() (Statement, error) {
 				return nil, err
 			}
 			var row []Expr
+			if len(ins.Rows) > 0 {
+				row = make([]Expr, 0, len(ins.Rows[0]))
+			}
 			for {
-				e, err := p.ParseExpr()
+				e, err := p.parseValue()
 				if err != nil {
 					return nil, err
 				}
@@ -471,6 +524,19 @@ func (p *Parser) parseInsert() (Statement, error) {
 		return nil, fmt.Errorf("expected VALUES or SELECT in INSERT, found %s", p.Peek())
 	}
 	return ins, nil
+}
+
+// parseValue parses one VALUES item. A bare number or string literal
+// closed by ',' or ')' -- what site loads and shipped rows consist of --
+// goes straight to parsePrimary; anything else takes the full
+// expression grammar, which yields the same tree for a literal.
+func (p *Parser) parseValue() (Expr, error) {
+	if k := p.Peek().Kind; k == TokNumber || k == TokString {
+		if t := p.PeekAt(1); t.Kind == TokPunct && (t.Text == "," || t.Text == ")") {
+			return p.parsePrimary()
+		}
+	}
+	return p.ParseExpr()
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {

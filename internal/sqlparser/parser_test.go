@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -388,6 +389,28 @@ func TestDeparseRoundTrip(t *testing.T) {
 		out2 := Deparse(s2)
 		if out1 != out2 {
 			t.Errorf("deparse not stable:\n  src  %q\n  out1 %q\n  out2 %q", src, out1, out2)
+		}
+	}
+}
+
+// TestDeparseKeepsGrouping checks that deparsed text parses back to the
+// same tree where the grouping differs from the grammar's default, and
+// that numeric literals keep their kind.
+func TestDeparseKeepsGrouping(t *testing.T) {
+	srcs := []string{
+		"SELECT a - (b + c), a - (b - c), a / (b * c) FROM t",
+		"SELECT -(a + b), - -5, -(-a) FROM t",
+		"SELECT (a LIKE b) + 1, (NOT a) + 1 FROM t",
+		"SELECT a FROM t WHERE 0 < (0 < 0) OR (a IN (1)) = b",
+		"SELECT a FROM t WHERE a BETWEEN (b AND c) AND d OR (a OR b) AND c",
+		"SELECT 1.0, 2.5, 10000000000000000000000, 0.0000001 FROM t",
+		"CREATE TABLE t (x NUMERIC(10, 2), y INTEGER)",
+	}
+	for _, src := range srcs {
+		s1 := mustParse(t, src)
+		out := Deparse(s1)
+		if s2 := mustParse(t, out); !reflect.DeepEqual(s1, s2) {
+			t.Errorf("deparse changed the tree:\n  src %q\n  out %q", src, out)
 		}
 	}
 }

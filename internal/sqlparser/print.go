@@ -132,22 +132,24 @@ func deparseStmt(b *strings.Builder, s Statement) {
 	}
 }
 
+// typeName spells a column type, with its declared width, if any, so the
+// definition parses back unchanged; only CHAR widths are enforced.
 func typeName(c ColumnDef) string {
+	var name string
 	switch c.Type {
 	case sqlval.KindInt:
-		return "INTEGER"
+		name = "INTEGER"
 	case sqlval.KindFloat:
-		return "FLOAT"
-	case sqlval.KindString:
-		if c.Width > 0 {
-			return "CHAR(" + strconv.Itoa(c.Width) + ")"
-		}
-		return "CHAR"
+		name = "FLOAT"
 	case sqlval.KindBool:
-		return "BOOLEAN"
+		name = "BOOLEAN"
 	default:
-		return "CHAR"
+		name = "CHAR"
 	}
+	if c.Width > 0 {
+		name += "(" + strconv.Itoa(c.Width) + ")"
+	}
+	return name
 }
 
 func deparseSelect(b *strings.Builder, s *SelectStmt) {
@@ -238,19 +240,23 @@ func DeparseExpr(e Expr) string {
 	case ColRef:
 		return deparseColRef(x)
 	case *BinaryExpr:
-		l, r := DeparseExpr(x.L), DeparseExpr(x.R)
-		if needsParens(x.L, x.Op) {
-			l = "(" + l + ")"
-		}
-		if needsParens(x.R, x.Op) {
-			r = "(" + r + ")"
+		var l, r string
+		switch lv := level(x); lv {
+		case levelCompare:
+			l, r = subject(x.L), operand(x.R, levelAdd)
+		default: // left-associative: a right operand at the same level needs parentheses
+			l, r = operand(x.L, lv), operand(x.R, lv+1)
 		}
 		return l + " " + x.Op + " " + r
 	case *UnaryExpr:
 		if x.Op == "NOT" {
 			return "NOT (" + DeparseExpr(x.X) + ")"
 		}
-		return x.Op + DeparseExpr(x.X)
+		s := operand(x.X, levelPrimary)
+		if strings.HasPrefix(s, "-") { // "--" would open a comment
+			s = "(" + s + ")"
+		}
+		return x.Op + s
 	case *FuncCall:
 		if x.Star {
 			return x.Name + "(*)"
@@ -276,30 +282,30 @@ func DeparseExpr(e Expr) string {
 		if x.Query != nil {
 			var b strings.Builder
 			deparseSelect(&b, x.Query)
-			return DeparseExpr(x.X) + not + " IN (" + b.String() + ")"
+			return subject(x.X) + not + " IN (" + b.String() + ")"
 		}
 		var items []string
 		for _, it := range x.List {
 			items = append(items, DeparseExpr(it))
 		}
-		return DeparseExpr(x.X) + not + " IN (" + strings.Join(items, ", ") + ")"
+		return subject(x.X) + not + " IN (" + strings.Join(items, ", ") + ")"
 	case *BetweenExpr:
 		not := ""
 		if x.Not {
 			not = " NOT"
 		}
-		return DeparseExpr(x.X) + not + " BETWEEN " + DeparseExpr(x.Lo) + " AND " + DeparseExpr(x.Hi)
+		return subject(x.X) + not + " BETWEEN " + operand(x.Lo, levelAdd) + " AND " + operand(x.Hi, levelAdd)
 	case *IsNullExpr:
 		if x.Not {
-			return DeparseExpr(x.X) + " IS NOT NULL"
+			return subject(x.X) + " IS NOT NULL"
 		}
-		return DeparseExpr(x.X) + " IS NULL"
+		return subject(x.X) + " IS NULL"
 	case *LikeExpr:
 		not := ""
 		if x.Not {
 			not = " NOT"
 		}
-		return DeparseExpr(x.X) + not + " LIKE " + DeparseExpr(x.Pattern)
+		return subject(x.X) + not + " LIKE " + operand(x.Pattern, levelAdd)
 	default:
 		return fmt.Sprintf("/* unknown expr %T */", e)
 	}
@@ -313,28 +319,62 @@ func deparseColRef(c ColRef) string {
 	return s
 }
 
-// precedence for parenthesization during deparse.
-func prec(op string) int {
-	switch op {
-	case "OR":
-		return 1
-	case "AND":
-		return 2
-	case "=", "<>", "<", "<=", ">", ">=":
-		return 3
-	case "+", "-":
-		return 4
-	case "*", "/":
-		return 5
+// Binding levels of the expression grammar, loosest first. Deparse
+// parenthesises an operand whose level is below what its position in
+// the grammar accepts, so the text parses back to the same tree.
+const (
+	levelOr = iota + 1
+	levelAnd
+	levelNot
+	levelCompare // comparisons and the LIKE, BETWEEN, IN and IS predicates
+	levelAdd
+	levelMul
+	levelUnary
+	levelPrimary
+)
+
+func level(e Expr) int {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		switch x.Op {
+		case "OR":
+			return levelOr
+		case "AND":
+			return levelAnd
+		case "+", "-":
+			return levelAdd
+		case "*", "/":
+			return levelMul
+		default:
+			return levelCompare
+		}
+	case *UnaryExpr:
+		if x.Op == "NOT" {
+			return levelNot
+		}
+		return levelUnary
+	case *LikeExpr, *BetweenExpr, *InExpr, *IsNullExpr:
+		return levelCompare
 	default:
-		return 6
+		return levelPrimary
 	}
 }
 
-func needsParens(e Expr, parentOp string) bool {
-	b, ok := e.(*BinaryExpr)
-	if !ok {
-		return false
+// operand renders e for a position that accepts levels from min up.
+func operand(e Expr, min int) string {
+	if level(e) < min {
+		return "(" + DeparseExpr(e) + ")"
 	}
-	return prec(b.Op) < prec(parentOp)
+	return DeparseExpr(e)
+}
+
+// subject renders the left side of a comparison or predicate: an
+// additive expression, or a chain of LIKE, BETWEEN and IS predicates,
+// which the parser applies left to right.
+func subject(e Expr) string {
+	switch e.(type) {
+	case *LikeExpr, *BetweenExpr, *IsNullExpr:
+		return DeparseExpr(e)
+	}
+	return operand(e, levelAdd)
 }

@@ -8,6 +8,7 @@ package sqlval
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -139,8 +140,18 @@ func (v Value) String() string {
 // SQL renders the value as a literal that the SQL parser will read back:
 // strings are single-quoted with embedded quotes doubled.
 func (v Value) SQL() string {
-	if v.K == KindString {
+	switch v.K {
+	case KindString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+	case KindFloat:
+		// Spelled out in full with a decimal point, so the SQL lexer
+		// reads it back as the same FLOAT: String would switch to an
+		// exponent the lexer does not read, and print 1.0 as the INT 1.
+		s := strconv.FormatFloat(v.F, 'f', -1, 64)
+		if !strings.Contains(s, ".") && !math.IsInf(v.F, 0) && !math.IsNaN(v.F) {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }
